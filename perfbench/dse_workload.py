@@ -12,16 +12,24 @@ elaborate, the program cache, the result memo and the garbage collector
 dominate.
 
 An op is one sweep point.  Memo copies take microseconds, so latencies
-are summarised per sweep call, never per point.
+are summarised per sweep call, never per point, and only over the calls
+that simulate: a chunk whose every point is a memo copy of an earlier
+chunk's counts towards the throughput but no latency summary.
+
+The engine's event counters (``repro.obs.metrics``) are on only for one
+untimed round before the timed phase: every round starts from cold
+caches and so simulates the same programs, and that round's counts
+stand for every timed round.
 """
 
 from __future__ import annotations
 
 import gc
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
-from harness import OpLog, check, peak_rss_mb, kind_latency
+from harness import Calibrator, OpLog, Workload, check
 
 from repro.analysis import paper_sweep_spec, run_sweep
 from repro.analysis.dse import clear_sweep_caches
@@ -55,6 +63,9 @@ ENGINE_COUNTERS = {
     "engine.blocks_codegenned": "blocks_codegenned",
 }
 
+#: Key of the oracle's failure in a grid point's ``checked`` stats.
+ORACLE_FAILED = "perfbench.oracle_failed"
+
 
 def _engine_counts() -> Dict[str, float]:
     registry = obs_metrics.get_registry()
@@ -83,34 +94,29 @@ def _check_point(point, model) -> Optional[str]:
 
 def _check_grid_point(point, cfg) -> Optional[str]:
     """The sweep worker ran the scenario oracle (stencil output, exact
-    per-link traffic) on every registry point."""
+    per-link traffic, the per-hop cycle floor) on this point, and it
+    held."""
     def held():
         assert point.config == cfg, "point order"
         assert point.checked is not None, "oracle did not run"
-        assert point.checked["cycles"] == point.cycles, "cycles"
+        assert ORACLE_FAILED not in point.checked, point.checked.get(ORACLE_FAILED)
     return check(held)
 
 
-class DseSweep:
+class DseSweep(Workload):
     name = "dse_sweep"
     import_modules = ("repro.analysis", "repro.scenarios", "repro.sim")
-    trace_setup = False
-    #: What ``--inject`` can make wrong.
-    injectable = ("cycles",)
-    setup_repeats = 5
+    #: ``cycles`` perturbs a DES point of the slice, ``grid`` the output
+    #: of a registry grid point before its oracle runs.
+    injectable = ("cycles", "grid")
 
     def __init__(self, seed: int, short: bool, inject: Optional[str]):
-        self.seed = seed
-        self.short = short
-        self.inject = inject
-        self.events = 0
-        self.counters: Dict[str, float] = {}
-        self.timers = None  # a harness.Timers while the run is traced
-        self.errors: List[str] = []
+        super().__init__(seed, short, inject)
+        #: Engine counter deltas of one round (see :meth:`prepare`).
+        self.per_round: Dict[str, float] = {}
+        #: Labels of the chunks that simulate nothing (all memo copies).
+        self.memo_only: Set[str] = set()
         self._undo = None
-        # The engine's own per-run counters give the events simulated
-        # (memo copies simulate none); one update per engine run.
-        obs_metrics.enable_metrics()
 
     def setup(self, timed) -> None:
         timed(self._inputs)
@@ -134,7 +140,22 @@ class DseSweep:
         self.grid_configs = self.grid.points()
 
     def prepare(self) -> None:
-        pass
+        """Count one round's engine events, and the simulations of each
+        chunk, with the metrics registry on, untimed and unchecked, so
+        that the timed rounds run with it off.  No wrong result is
+        injected into this round."""
+        inject, self.inject = self.inject, None
+        runs: Dict[str, float] = {}
+        obs_metrics.enable_metrics()
+        try:
+            before = _engine_counts()
+            self._round(OpLog(), Calibrator(), runs)
+            after = _engine_counts()
+        finally:
+            obs_metrics.disable_metrics()
+            self.inject = inject
+        self.per_round = {key: after[key] - before[key] for key in after}
+        self.memo_only = {label for label, count in runs.items() if count == 0}
 
     def _count(self, name: str, amount: float) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
@@ -143,38 +164,69 @@ class DseSweep:
         self._count("programs_built", stats.programs_built)
         self._count("program_hits", stats.program_hits)
 
-    def run_round(self, log: OpLog, calibrator) -> None:
+    @contextmanager
+    def _oracle_verdicts(self):
+        """Keep the grid oracle's failure in the point's ``checked``
+        stats: the sweep driver stops at the first point whose oracle
+        raises, and a wrong point must fail itself, not the whole run."""
+        original = Scenario.check
+        workload = self
+
+        def check_kept(scenario, cfg, result, seed=0):
+            if workload.inject == "grid":
+                workload.inject = None
+                result.buffer(cfg.final_buffer).flat[0] += 1
+            try:
+                return original(scenario, cfg, result, seed)
+            except Exception as error:  # the point's verdict, whatever raised
+                return {ORACLE_FAILED: f"{type(error).__name__}: {error}"[:300]}
+
+        Scenario.check = check_kept
+        try:
+            yield
+        finally:
+            Scenario.check = original
+
+    def _round(self, log: OpLog, calibrator, runs=None) -> None:
         """The whole slice and the grid, from cold caches.  The garbage
         the cleared caches leave is collected first, as a fresh process
-        would have none."""
+        would have none.  ``runs``, if given, receives each chunk's
+        engine runs (the metrics registry must be on)."""
         clear_sweep_caches()
         clear_scenario_caches()
         gc.collect()
-        before = _engine_counts()
         for label, chunk, model in self.chunks:
-            points, elapsed, factor = calibrator.bracket(
-                run_sweep, chunk, use_des=True, seed=self.seed, jobs=1,
-                compile_cache=True, reuse_results=True)
-            if self.inject is not None:
+            if runs is not None:
+                runs[label] = -_engine_counts()["runs"]
+            points = log.run_op(
+                calibrator, f"dse/{label}", len(model), run_sweep, chunk,
+                use_des=True, seed=self.seed, jobs=1, compile_cache=True,
+                reuse_results=True, latency=label not in self.memo_only)
+            if runs is not None:
+                runs[label] += _engine_counts()["runs"]
+            if points is None:
+                continue
+            if self.inject == "cycles":
                 points[0].cycles += 1
                 self.inject = None
-            log.record(f"dse/{label}", elapsed, factor,
-                       _verdicts(points, model, _check_point))
+            log.tally(_verdicts(points, model, _check_point))
         self._count_programs(process_compile_cache().stats)
-        points, elapsed, factor = calibrator.bracket(
-            run_scenario_sweep, self.grid, jobs=1, seed=self.seed, check=True)
-        log.record(f"grid/{GRID}", elapsed, factor,
-                   _verdicts(points, self.grid_configs, _check_grid_point))
+        with self._oracle_verdicts():
+            points = log.run_op(
+                calibrator, f"grid/{GRID}", len(self.grid_configs),
+                run_scenario_sweep, self.grid, jobs=1, seed=self.seed,
+                check=True)
+        if points is not None:
+            log.tally(_verdicts(points, self.grid_configs, _check_grid_point))
         self._count_programs(scenario_cache_stats())
-        after = _engine_counts()
-        for key in after:
-            self._count(key, after[key] - before[key])
-        self.events += after["scheduler_events"] - before["scheduler_events"]
+
+    def run_round(self, log: OpLog, calibrator) -> None:
+        self._round(log, calibrator)
+        for key, amount in self.per_round.items():
+            self._count(key, amount)
+        self.events += self.per_round["scheduler_events"]
         self._count("points", sum(len(m) for _, _, m in self.chunks)
                     + len(self.grid_configs))
-
-    def latency(self, latencies, q: int) -> float:
-        return kind_latency(latencies, q)
 
     def start_trace(self) -> None:
         """Time ``Scenario.build`` (the registry grid's build path)."""
@@ -203,13 +255,6 @@ class DseSweep:
             "sweep.driver_s": layer["trace.uncovered_s"],
         }
 
-    def finish(self, log: OpLog) -> List[str]:
-        return self.errors
-
-    def peak_rss_mb(self) -> float:
-        return peak_rss_mb()
-
     def close(self) -> None:
         if self._undo is not None:
             self._undo()
-        obs_metrics.disable_metrics()

@@ -125,21 +125,35 @@ class OpLog:
         self.raw_latencies: Dict[str, List[float]] = defaultdict(list)
         self.busy = 0.0
         self.busy_raw = 0.0
+        #: Raw busy seconds per kind of timed call.
+        self.busy_by_kind: Dict[str, float] = defaultdict(float)
         self.failures: List[str] = []
 
-    def record(self, kind: str, seconds: float, factor: float,
-               errors: Sequence[Optional[str]] = (None,)) -> None:
-        """One timed call of ``kind`` that took ``seconds`` raw and
-        completed one op per entry of ``errors`` (their check verdicts,
-        ``None`` = correct)."""
-        self.add_busy(seconds, factor)
-        self.add_latency(kind, seconds, factor)
-        self.tally(errors)
+    def run_op(self, calibrator: "Calibrator", kind: str, ops: int,
+               fn: Callable, *args, latency: bool = True, **kwargs):
+        """Time ``fn(...)`` as one call of ``kind`` that completes ``ops``
+        ops, and return its result.  If it raises, every one of its ops
+        is counted as failed and ``None`` is returned: a wrong program
+        fails ops, never the run.  The caller tallies the verdicts of the
+        ops of a call that returned.  With ``latency=False`` the call
+        counts towards the busy time but no latency summary."""
+        started = perf_counter()
+        try:
+            result, elapsed, factor = calibrator.bracket(fn, *args, **kwargs)
+        except Exception as error:  # the op's verdict, whatever raised
+            self.add_busy(perf_counter() - started, 1.0, kind)
+            self.tally([f"{kind}: {type(error).__name__}: {error}"[:300]] * ops)
+            return None
+        self.add_busy(elapsed, factor, kind)
+        if latency:
+            self.add_latency(kind, elapsed, factor)
+        return result
 
-    def add_busy(self, seconds: float, factor: float) -> None:
-        """Time the timed phase spent working."""
+    def add_busy(self, seconds: float, factor: float, kind: str) -> None:
+        """Time the timed phase spent working on a call of ``kind``."""
         self.busy += seconds * factor
         self.busy_raw += seconds
+        self.busy_by_kind[kind] += seconds
 
     def add_latency(self, kind: str, seconds: float, factor: float) -> None:
         self.latencies[kind].append(seconds * factor)
@@ -181,6 +195,8 @@ def kind_latency(latencies: Dict[str, List[float]], q: int) -> float:
     samples a tail needs, the pool does.
     """
     medians = {kind: statistics.median(v) for kind, v in latencies.items()}
+    if not medians:  # every call raised
+        return 0.0
     center = geomean(medians.values())
     if q == 50:
         return center
@@ -196,6 +212,66 @@ def check(fn: Callable[[], None]) -> Optional[str]:
     except Exception as error:  # the check's verdict, whatever raised
         return f"{type(error).__name__}: {error}"[:300]
     return None
+
+
+# ---------------------------------------------------------------------------
+# The workload protocol
+# ---------------------------------------------------------------------------
+
+
+class Workload:
+    """What ``run.py`` drives: repeated set-ups, then whole rounds of ops.
+
+    A workload defines :meth:`setup` and :meth:`run_round`; the other
+    hooks do nothing unless a workload needs them.
+    """
+
+    name = ""
+    #: Modules a fresh interpreter imports; timed as part of ``setup_s``.
+    import_modules: Tuple[str, ...] = ()
+    #: What ``--inject`` can make wrong.
+    injectable: Tuple[str, ...] = ()
+    setup_repeats = 5
+    #: Whether the traced run repeats the set-up under tracing.
+    trace_setup = False
+
+    def __init__(self, seed: int, short: bool, inject: Optional[str]):
+        self.seed = seed
+        self.short = short
+        self.inject = inject
+        #: Scheduler events simulated in the timed phase.
+        self.events = 0
+        self.counters: Dict[str, float] = {}
+        self.timers: Optional[Timers] = None  # while the run is traced
+        #: Failed checks outside any op; they make ``correct`` false.
+        self.errors: List[str] = []
+
+    def setup(self, timed: Callable) -> None:
+        """Set-up work, every call into the program through ``timed``."""
+        raise NotImplementedError
+
+    def run_round(self, log: OpLog, calibrator: Calibrator) -> None:
+        raise NotImplementedError
+
+    def prepare(self) -> None:
+        """Untimed work after the last set-up, before the timed phase."""
+
+    def start_trace(self) -> None:
+        """Called once before the traced half of the traced run."""
+
+    def layer_metrics(self, layer: Dict) -> Dict:
+        """Per-layer metrics of this workload's own, given the common ones."""
+        return {}
+
+    def finish(self, log: OpLog) -> List[str]:
+        """Checks left after the timed phase; the errors outside any op."""
+        return self.errors
+
+    def peak_rss_mb(self) -> float:
+        return peak_rss_mb()
+
+    def close(self) -> None:
+        """Stop what the workload started; runs also after a failure."""
 
 
 # ---------------------------------------------------------------------------

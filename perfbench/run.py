@@ -33,6 +33,7 @@ from harness import (
     covered_seconds,
     emit_result,
     import_seconds,
+    kind_latency,
     perf_counter,
     span_intervals,
     span_self_times,
@@ -140,8 +141,8 @@ def end_to_end(args, workload) -> Tuple[OpLog, list, Dict]:
             "setup_s": setup_s(scaled),
             "peak_rss_mb": rss,
             "ops_per_s": log.attempted / busy,
-            "op_p50_s": workload.latency(latencies, 50),
-            "op_p90_s": workload.latency(latencies, 90),
+            "op_p50_s": kind_latency(latencies, 50),
+            "op_p90_s": kind_latency(latencies, 90),
             "sim_events_per_s": workload.events / busy,
         }
     metrics = {}
@@ -154,6 +155,8 @@ def end_to_end(args, workload) -> Tuple[OpLog, list, Dict]:
             f"  {kind:48s} median {statistics.median(log.latencies[kind]):.5f} s"
             f" (raw {statistics.median(log.raw_latencies[kind]):.5f}) over "
             f"{len(log.latencies[kind])} calls")
+    for kind, seconds in sorted(log.busy_by_kind.items()):
+        print(f"  {kind:48s} {seconds / log.busy_raw:6.1%} of the timed phase")
     print(
         f"calibration median {statistics.median(calibrator.samples) * 1e3:.3f}"
         f" ms over {len(calibrator.samples)} samples (reference "
@@ -177,12 +180,10 @@ class Trace:
     def on(self, workload) -> None:
         self._spans.TRACER = self.recorder
         workload.timers = self.timers
-        self.gc.start()
 
     def off(self, workload) -> None:
         self._spans.TRACER = None
         workload.timers = None
-        self.gc.stop()
 
 
 def traced(args, workload) -> Tuple[OpLog, list, Dict]:
@@ -200,10 +201,13 @@ def traced(args, workload) -> Tuple[OpLog, list, Dict]:
         trace.off(workload)
         workload.prepare()
         gc.collect()
+    # GC pauses are taken over the timed phase only, like trace.wall_s.
     trace.on(workload)
+    trace.gc.start()
     first_op = len(calibrator.intervals)
     log = timed_phase(workload, half, calibrator)
     busy = log.busy_raw
+    trace.gc.stop()
     trace.off(workload)
     errors = workload.finish(log)
 
@@ -270,7 +274,7 @@ def main(argv=None) -> int:
         "--short", action="store_true",
         help="small programs, every check on (the benchmark's self-tests)")
     parser.add_argument(
-        "--inject", choices=("cycles", "buffer"), default=None,
+        "--inject", choices=("cycles", "buffer", "grid"), default=None,
         help="make one result wrong on purpose; the checks must count it")
     args = parser.parse_args(argv)
     if args.seconds <= 0:

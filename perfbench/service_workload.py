@@ -34,9 +34,9 @@ from harness import (
     SCRATCH,
     SRC,
     OpLog,
+    Workload,
     check,
     peak_rss_mb,
-    kind_latency,
     percentile,
     perf_counter,
 )
@@ -174,22 +174,13 @@ class Server:
         self.state_dir.with_suffix(".log").unlink(missing_ok=True)
 
 
-class ServiceMix:
+class ServiceMix(Workload):
     name = "service_mix"
-    import_modules = ()  # set-up is the server's boot, imports included
-    trace_setup = False
-    #: What ``--inject`` can make wrong.
+    # No import probe: set-up is the server's boot, imports included.
     injectable = ("cycles",)
-    setup_repeats = 5
 
     def __init__(self, seed: int, short: bool, inject: Optional[str]):
-        self.seed = seed
-        self.short = short
-        self.inject = inject
-        self.events = 0
-        self.counters: Dict[str, float] = {}
-        self.timers = None
-        self.errors: List[str] = []
+        super().__init__(seed, short, inject)
         self.servers: List[Server] = []
         # The server and this process share one CPU, so that the
         # calibration loop measures the speed of the CPU the server runs
@@ -295,7 +286,7 @@ class ServiceMix:
             except Exception as error:  # noqa: BLE001  (a failed request)
                 log.tally([f"{pair}: {type(error).__name__}: {error}"] * 2)
                 continue
-            log.add_busy(elapsed, factor)
+            log.add_busy(elapsed, factor, "+".join(pair))
             for kind, request, (latency, job) in zip(pair, requests, replies):
                 log.add_latency(kind, latency, factor)
                 outcomes.append((kind, request, latency, job))
@@ -343,9 +334,6 @@ class ServiceMix:
             "service record differs from a direct run")
 
     # -- metrics ----------------------------------------------------------
-
-    def latency(self, latencies: Dict[str, List[float]], q: int) -> float:
-        return kind_latency(latencies, q)
 
     def start_trace(self) -> None:
         self.wire = []

@@ -12,11 +12,11 @@ is the other's bypass workload.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from harness import OpLog, check, kind_latency, peak_rss_mb
+from harness import OpLog, Workload, check
 
 from repro import dialects  # noqa: F401  (registers the dialects)
 from repro.ir import parse_module, print_op, verify
@@ -105,20 +105,13 @@ def perturb(result, how: str) -> None:
         result.buffers[name].array.flat[0] += 1
 
 
-class SimWorkload:
+class SimWorkload(Workload):
     """Common state of the two in-process simulation workloads."""
 
     import_modules = ("repro.dialects", "repro.ir", "repro.scenarios",
                       "repro.sim")
-
-    def __init__(self, seed: int, short: bool, inject: Optional[str]):
-        self.seed = seed
-        self.short = short
-        self.inject = inject
-        self.events = 0
-        self.counters: Dict[str, float] = {}
-        self.timers = None  # a harness.Timers while the run is traced
-        self.errors: List[str] = []
+    injectable = ("cycles", "buffer")
+    trace_setup = True
 
     def _configs(self, full) -> List[Tuple[Scenario, object]]:
         chosen = SHORT_CONFIGS if self.short else full
@@ -147,28 +140,6 @@ class SimWorkload:
             scenario.check(cfg, result, self.seed)
 
         return check(verify_result)
-
-    trace_setup = True
-    #: What ``--inject`` can make wrong.
-    injectable = ("cycles", "buffer")
-
-    def latency(self, latencies: Dict[str, List[float]], q: int) -> float:
-        return kind_latency(latencies, q)
-
-    def start_trace(self) -> None:
-        pass
-
-    def layer_metrics(self, layer: Dict) -> Dict:
-        return {}
-
-    def finish(self, log: OpLog) -> List[str]:
-        return self.errors
-
-    def peak_rss_mb(self) -> float:
-        return peak_rss_mb()
-
-    def close(self) -> None:
-        pass
 
 
 class ColdSim(SimWorkload):
@@ -212,13 +183,14 @@ class ColdSim(SimWorkload):
             self.programs, self.references
         ):
             for mode in MODES:
-                result, elapsed, factor = calibrator.bracket(
-                    self._cold_run, text, mode, inputs)
+                result = log.run_op(calibrator, f"{scenario.name}/{mode}", 1,
+                                    self._cold_run, text, mode, inputs)
+                if result is None:
+                    continue
                 if self.timers is not None:
                     self.timers.counts["parse_bytes"] += len(text)
                 self._account(result)
-                log.record(f"{scenario.name}/{mode}", elapsed, factor,
-                           [self._check(scenario, cfg, result, reference)])
+                log.tally([self._check(scenario, cfg, result, reference)])
 
 
 class WarmSim(SimWorkload):
@@ -263,9 +235,10 @@ class WarmSim(SimWorkload):
     def run_round(self, log: OpLog, calibrator) -> None:
         for (scenario, cfg, module, inputs, mode, options, plan_cache,
              reference) in self.programs:
-            result, elapsed, factor = calibrator.bracket(
-                simulate, module, options, inputs=inputs,
-                plan_cache=plan_cache)
+            result = log.run_op(calibrator, f"{scenario.name}:{cfg}/{mode}", 1,
+                                simulate, module, options, inputs=inputs,
+                                plan_cache=plan_cache)
+            if result is None:
+                continue
             self._account(result)
-            log.record(f"{scenario.name}:{cfg}/{mode}", elapsed, factor,
-                       [self._check(scenario, cfg, result, reference)])
+            log.tally([self._check(scenario, cfg, result, reference)])

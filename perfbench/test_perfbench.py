@@ -1,8 +1,8 @@
 """Self-tests of the benchmark.
 
 Every workload's short mode runs with every check on and reports no
-failure; a deliberately wrong result (a perturbed cycle count or buffer)
-is counted as failed; without the program's sources the benchmark exits
+failure; a deliberately wrong result (a perturbed cycle count, buffer or
+registry grid point) is counted as failed, and so is an op that raises; without the program's sources the benchmark exits
 non-zero.  Run from the root of the repository::
 
     python3 -m pytest perfbench -q
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from harness import covered_seconds, span_self_times
+from harness import Calibrator, OpLog, covered_seconds, span_self_times
 from run import END_TO_END, PER_LAYER, WORKLOADS
 
 RUN = Path(__file__).with_name("run.py")
@@ -56,12 +56,26 @@ def test_short_mode_passes_every_check(workload, trace):
 @pytest.mark.parametrize("workload, fault", [
     ("cold_sim", "cycles"), ("cold_sim", "buffer"),
     ("warm_sim", "cycles"), ("warm_sim", "buffer"),
-    ("dse_sweep", "cycles"), ("service_mix", "cycles"),
+    ("dse_sweep", "cycles"), ("dse_sweep", "grid"), ("service_mix", "cycles"),
 ])
 def test_a_wrong_result_is_counted_as_failed(workload, fault):
     out = result("--workload", workload, "--inject", fault)
     assert out["failed"] == 1
     assert out["correct"] is True  # the other ops still verified
+
+
+def test_an_op_that_raises_fails_its_ops_not_the_run():
+    log = OpLog()
+
+    def broken():
+        raise AssertionError("wrong")
+
+    assert log.run_op(Calibrator(), "sweep", 3, broken) is None
+    assert (log.attempted, log.failed) == (3, 3)
+    assert log.failures[0] == "sweep: AssertionError: wrong"
+    assert log.run_op(Calibrator(), "sweep", 1, lambda: 7) == 7
+    log.tally([None])
+    assert (log.attempted, log.failed) == (4, 3)
 
 
 def test_fails_without_the_program(tmp_path):
